@@ -6,16 +6,18 @@
 //!   per-event asserts + in-queue arrival events; see
 //!   `hyperroute_bench::seed_baseline`) — the baseline the generic engine
 //!   is measured against;
-//! * `heap`: the shipped generic engine on the heap scheduler backend
-//!   (isolates the scheduler swap from the slab/layout work);
-//! * `calendar`: the shipped default.
+//! * `heap` and `calendar`: the shipped generic engine, run with
+//!   `RunControl::scheduler` set to each backend. The knob only selects
+//!   the equivalent network's event list; the engine keeps its
+//!   unit-service completions in one FIFO ring, so for engine-backed
+//!   topologies both columns time the **same** engine and their ratio is
+//!   run-to-run noise.
 //!
-//! Since the generic-engine refactor, both shipped rows measure the
-//! **dequeued arrival stream** (arrivals/slot boundaries self-schedule in
-//! a side channel instead of the event queue) and the
-//! `Scheduler::peek_payload` next-event prefetch — the PR-1 hot-path
-//! follow-ups — while `seed` still pays one push+pop per arrival, so the
-//! seed/shipped gap records their effect. A `ring` section benches the
+//! Both shipped rows measure the **dequeued arrival stream**
+//! (arrivals/slot boundaries self-schedule in a side channel instead of
+//! the event list) and the completion ring, while `seed` still pays a
+//! heap push+pop per arrival and per completion, so the seed/shipped gap
+//! records their effect. A `ring` section benches the
 //! fifth topology on the same engine (n = 256 bidirectional ring near
 //! ρ = 0.8).
 //!
@@ -481,7 +483,7 @@ fn main() {
     let _ = writeln!(json, "  \"kernel\": \"hypercube_sim greedy p=0.5 (+ ring n={ring_nodes} bidirectional, torus 16^2, de Bruijn n=1024, fat tree 256 leaves on the blanket GraphSpec; smallworld/hyperbolic n={sparse_n} generated CSR + metric greedy, build included; sharded d12 + smallworld at workers 1/2/4/8), horizon {horizon}, warmup 20%, best of {reps}\",");
     let _ = writeln!(
         json,
-        "  \"baseline\": \"seed = frozen pre-PR engine (binary-heap FEL, VecDeque arc queues, per-event asserts, in-queue arrival events); heap/calendar = generic engine (dequeued arrival stream + peek_payload prefetch) on each scheduler backend\","
+        "  \"baseline\": \"seed = frozen pre-PR engine (binary-heap FEL, VecDeque arc queues, per-event asserts, in-queue arrival events); heap/calendar = generic engine (dequeued arrival stream + unit-service completion ring) with the scheduler knob set to each backend; the knob selects only the equivalent network event list, so both columns time the same engine\","
     );
     let _ = writeln!(
         json,

@@ -9,7 +9,7 @@
 //! engine, captured here as the [`EngineSpec`] trait. A topology is now a
 //! ~100-line spec — or **zero** lines via the blanket
 //! `graph_sim::GraphSpec<T: RoutingTopology>`; everything
-//! else — slab packet pool, calendar/heap scheduler, contention policies,
+//! else — slab packet pool, completion ring, contention policies,
 //! warm-up truncation, drain control, metrics, observers — lives here
 //! **once**, monomorphised per topology by [`Engine::drive`].
 //!
@@ -21,34 +21,46 @@
 //! are byte-identical to the pre-refactor engines — the `scenarios/`
 //! corpus gate and the differential suites prove it.
 //!
-//! # Hot-path structure (the PR-1 follow-ups, landed once for all engines)
+//! # Hot-path structure
 //!
-//! * **Self-scheduling arrival stream out of the event queue.** Arrivals
+//! * **Self-scheduling arrival stream out of the event list.** Arrivals
 //!   (and slotted-time slot boundaries) form a self-scheduling chain: each
 //!   firing knows the next firing time. Keeping that chain in a one-slot
-//!   side channel (`Engine::next_stream`) instead of the scheduler saves
-//!   one push + pop per generated packet — the queue holds only service
+//!   side channel (`Engine::next_stream`) instead of the event list saves
+//!   one push + pop per generated packet — the list holds only service
 //!   completions. Merging preserves the old (time, insertion-seq) order:
-//!   the queue wins ties, which is exactly where the in-queue arrival
+//!   the list wins ties, which is exactly where the in-queue arrival
 //!   chain's seq numbers put it (completions at a slot instant were always
 //!   scheduled before the boundary event that shares their timestamp).
-//! * **Next-event prefetch.** After popping a completion the engine peeks
-//!   the scheduler's next payload ([`hyperroute_desim::Scheduler::peek_payload`]),
-//!   so the next iteration's scheduler state is prepared while the current
-//!   event's (data-dependent, cache-hostile) arc state is being updated.
-//!   On the calendar backend the useful work is pre-paying the next
-//!   *bucket load* (sort + drain-buffer fill) — measured ≈ +5% events/sec
-//!   at d = 8, ρ = 0.8. Forcing a read of the payload *bytes* measured
-//!   strictly slower: ever since the in-service packet moved inside the
-//!   completion event (PR 3), the payload is hot by construction, so only
-//!   the reference is taken.
+//! * **Unit-service completion ring.** Every arc serves in exactly one
+//!   time unit (§1.1, §3), so every event the engine schedules is a
+//!   completion at `t + 1.0`, pushed while the event at `t` is being
+//!   processed. The future-event list is therefore a plain FIFO
+//!   ([`CompletionRing`]) and no priority queue is needed:
+//!   1. Events are processed in non-decreasing time (the ring's front and
+//!      the arrival stream are merged by time, and the stream only moves
+//!      forward).
+//!   2. IEEE-754 addition is monotone: `a <= b` implies
+//!      `fl(a + 1.0) <= fl(b + 1.0)`. So push times are non-decreasing.
+//!   3. A FIFO of non-decreasing times pops in exactly the
+//!      `(time, f64::total_cmp, insertion-seq)` order of a binary heap or
+//!      calendar queue — equal times (slotted bursts, drain) come out in
+//!      insertion order, as the heap's seq tie-break orders them.
+//!
+//!   Reports are thus byte-identical to a heap- or calendar-ordered run,
+//!   with no RNG draw moved; a `debug_assert!` in
+//!   [`CompletionRing::push`] checks step 2 on every push of every debug
+//!   run. `Scenario::run.scheduler` does not affect engine-backed runs:
+//!   it selects the event list of the equivalent network, whose service
+//!   times are not unit.
 
 use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
 use crate::observe::Observer;
 use crate::pool::{ArcBag, ArcFifo, SlabPool};
 use crate::profile::{Phase, PhaseTimers, Tick};
-use hyperroute_desim::{Scheduler, SchedulerKind, SimRng};
+use hyperroute_desim::SimRng;
+use std::collections::VecDeque;
 
 /// Busy flag of a packed per-arc routing word: set while a packet occupies
 /// the arc's server (its payload rides in the pending completion event).
@@ -97,7 +109,7 @@ pub enum ArcChoice {
 pub const NO_TRACE: u32 = u32::MAX;
 
 /// An in-flight packet the generic engine can carry: `Copy` (it lives in
-/// slab slots and scheduler entries) and stamped with its birth time.
+/// slab slots and completion-ring entries) and stamped with its birth time.
 pub trait EnginePacket: Copy {
     /// Generation time (drives warm-up truncation of delivery stats).
     fn born(&self) -> f64;
@@ -144,10 +156,6 @@ pub trait EngineSpec {
     /// bits — whatever [`EngineSpec::advance`] needs), in bits `0..31`.
     /// Bit 31 ([`ARC_BUSY`]) must be clear; the engine owns it.
     fn arc_meta(&self, arc: usize) -> u32;
-
-    /// Expected hops per packet — sizes the scheduler's events-per-unit
-    /// hint (correctness never depends on it).
-    fn mean_hops_hint(&self) -> f64;
 
     /// Sample a new packet at `source` born at `t`, drawing from
     /// `dest_rng` exactly as the topology's destination law dictates.
@@ -204,8 +212,6 @@ pub struct EngineCfg {
     pub arrivals: ArrivalModel,
     /// Which waiting packet an arc serves next.
     pub contention: ContentionPolicy,
-    /// Future-event-list backend (bit-identical results either way).
-    pub scheduler: SchedulerKind,
     /// Generation stops at this time.
     pub horizon: f64,
     /// Packets born before this time are not measured.
@@ -229,6 +235,72 @@ struct ArcState {
     meta: u32,
 }
 
+/// The engine's future-event list: pending service completions in
+/// time order, kept as a plain FIFO.
+///
+/// Exact only for callers that push non-decreasing times — the engine
+/// does, since every completion lands at `now + 1.0` (see the [module
+/// docs](self) for the argument). Under that invariant it pops in the
+/// same `(time, insertion-seq)` order as
+/// [`hyperroute_desim::EventQueue`], ties included, at `O(1)` per
+/// operation and one `(time, payload)` slot per pending event.
+#[derive(Debug, Default)]
+pub struct CompletionRing<E> {
+    events: VecDeque<(f64, E)>,
+}
+
+impl<E> CompletionRing<E> {
+    /// An empty ring.
+    pub fn new() -> CompletionRing<E> {
+        CompletionRing {
+            events: VecDeque::new(),
+        }
+    }
+
+    /// Schedule `payload` at `time`, which must not precede the latest
+    /// pending time (checked in debug builds).
+    #[inline]
+    pub fn push(&mut self, time: f64, payload: E) {
+        // Also rejects NaN, which compares false.
+        let back = self
+            .events
+            .back()
+            .map_or(f64::NEG_INFINITY, |&(back, _)| back);
+        debug_assert!(
+            time >= back,
+            "completion at {time} pushed behind a pending one at {back}"
+        );
+        self.events.push_back((time, payload));
+    }
+
+    /// Pop the earliest pending event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(f64, E)> {
+        self.events.pop_front()
+    }
+
+    /// Pop the earliest pending event only if its time is at or before
+    /// `bound` — the merge with an out-of-ring event stream, in which the
+    /// ring wins ties.
+    #[inline]
+    pub fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, E)> {
+        match self.events.front() {
+            Some(&(time, _)) if time <= bound => self.events.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
+
 /// The topology-generic event-driven engine. Construct with
 /// [`Engine::new`], run with [`Engine::drive`], then read the spec and
 /// collector back out to build a report.
@@ -243,9 +315,9 @@ pub struct Engine<T: EngineSpec> {
     /// [`ContentionPolicy::Random`] — a uniform pick from an intrusive
     /// list would walk `O(queue)` links.
     bags: Vec<ArcBag<T::Pkt>>,
-    /// Service completions only: the arrival stream lives in
-    /// `next_stream`, not here.
-    events: Scheduler<(u32, T::Pkt)>,
+    /// Service completions only, as `(arc, in-service packet)`: the
+    /// arrival stream lives in `next_stream`, not here.
+    events: CompletionRing<(u32, T::Pkt)>,
     events_processed: u64,
     /// Next firing of the self-scheduling arrival stream (merged Poisson
     /// arrival or slot boundary), or `None` once generation has ceased.
@@ -286,9 +358,6 @@ impl<T: EngineSpec> Engine<T> {
             (expected / 32.0).ceil() as u64,
             cfg.seed,
         );
-        // Calendar sizing hint: arrivals plus one completion per hop.
-        let events_per_unit = cfg.lambda * sources * (1.0 + spec.mean_hops_hint());
-        let events = Scheduler::new(cfg.scheduler, events_per_unit);
         let next_stream = match cfg.arrivals {
             // First merged arrival (rate λ·sources); deliberately not
             // horizon-checked, mirroring the first in-queue arrival of the
@@ -319,7 +388,7 @@ impl<T: EngineSpec> Engine<T> {
                 .collect(),
             spec,
             cfg,
-            events,
+            events: CompletionRing::new(),
             events_processed: 0,
             next_stream,
             arrival_buf: Vec::new(),
@@ -341,10 +410,9 @@ impl<T: EngineSpec> Engine<T> {
     pub fn drive<O: Observer>(&mut self, obs: &mut O) {
         loop {
             // Merge the self-scheduling arrival stream with the completion
-            // queue in one scheduler call per iteration. The queue wins
-            // ties (`pop_at_or_before` is inclusive) — see the module
-            // docs for why this reproduces the retired in-queue arrival
-            // order.
+            // ring. The ring wins ties (`pop_at_or_before` is inclusive) —
+            // see the module docs for why this reproduces the retired
+            // in-queue arrival order.
             let tick = Tick::start();
             let popped = match self.next_stream {
                 Some(stream_t) => self.events.pop_at_or_before(stream_t),
@@ -353,15 +421,6 @@ impl<T: EngineSpec> Engine<T> {
             self.timers.record(Phase::SchedPop, tick);
             let t = match popped {
                 Some((t, (arc, pkt))) => {
-                    // Software prefetch (PR-1 follow-up): peek the next
-                    // event so the scheduler prepares it (calendar: the
-                    // next bucket's sort + drain-buffer fill) while this
-                    // event's cache-hostile arc update proceeds. See the
-                    // module docs for the measurement; the payload bytes
-                    // are deliberately not read.
-                    if let Some(next) = self.events.peek_payload() {
-                        std::hint::black_box(next);
-                    }
                     let tick = Tick::start();
                     obs.on_event(t, self.collector.current_in_system());
                     self.timers.record(Phase::Observer, tick);

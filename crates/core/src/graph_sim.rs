@@ -541,7 +541,6 @@ pub struct GraphSpec<T: RoutingTopology> {
     topo: T,
     dest: GraphDestination,
     faults: Option<FaultState>,
-    hint: f64,
     /// In-window packet arrivals per arc (feeds the per-direction ring
     /// rates and the [`GraphExt`] rate summary). Saturating counters
     /// sharded by node range: untouched ranges of a ≥10⁷-arc graph
@@ -584,7 +583,6 @@ impl<T: RoutingTopology> GraphSpec<T> {
     ) -> GraphSpec<T> {
         let faults = faults.map(|f| FaultState::build(&topo, f, horizon));
         GraphSpec {
-            hint: topo.mean_distance_hint(),
             arc_arrivals: ShardedArcTally::new(topo.num_arcs()),
             dropped_in_window: 0,
             stretch_on: stretch,
@@ -632,10 +630,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
 
     fn arc_meta(&self, arc: usize) -> u32 {
         self.topo.arc_head(arc) as u32
-    }
-
-    fn mean_hops_hint(&self) -> f64 {
-        self.hint
     }
 
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<GraphPacket> {
@@ -880,7 +874,6 @@ where
             topo: self.topo.clone(),
             dest: self.dest.clone(),
             faults: self.faults.clone(),
-            hint: self.hint,
             arc_arrivals: ShardedArcTally::new(self.topo.num_arcs()),
             dropped_in_window: 0,
             stretch_on: self.stretch_on,
@@ -935,7 +928,6 @@ impl<T: RoutingTopology> GraphSpec<T> {
             topo: std::sync::Arc::new(self.topo),
             dest: self.dest,
             faults: self.faults,
-            hint: self.hint,
             arc_arrivals: self.arc_arrivals,
             dropped_in_window: self.dropped_in_window,
             stretch_on: self.stretch_on,
@@ -957,7 +949,6 @@ impl<T: RoutingTopology> GraphSpec<std::sync::Arc<T>> {
             topo,
             dest: self.dest,
             faults: self.faults,
-            hint: self.hint,
             arc_arrivals: self.arc_arrivals,
             dropped_in_window: self.dropped_in_window,
             stretch_on: self.stretch_on,
@@ -1005,7 +996,6 @@ impl<T: RoutingTopology> GraphSim<T> {
             lambda: s.workload.lambda,
             arrivals: s.workload.arrivals,
             contention: s.policy.contention,
-            scheduler: s.run.scheduler,
             horizon: s.run.horizon,
             warmup: s.run.warmup,
             seed: s.run.seed,

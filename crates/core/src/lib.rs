@@ -15,7 +15,7 @@
 //! # Architecture: one generic engine, thin topology specs
 //!
 //! The event loop lives **once**, in [`engine`]: a monomorphised
-//! `Engine<Spec>` owns the slab packet pool, the calendar/heap scheduler,
+//! `Engine<Spec>` owns the slab packet pool, the completion ring,
 //! the contention policies, warm-up truncation, drain control, metrics
 //! and the observer taps. What a topology contributes is an
 //! [`engine::EngineSpec`] — its packet representation, destination law,

@@ -335,7 +335,11 @@ pub struct RunControl {
     pub warmup: f64,
     /// RNG seed; every run is a deterministic function of it.
     pub seed: u64,
-    /// Future-event-list backend (bit-identical results either way).
+    /// Future-event-list backend of the equivalent network (bit-identical
+    /// results either way). Packet-level topologies run on the engine's
+    /// unit-service completion ring and give identical reports under
+    /// either value; the field stays in the scenario JSON, which corpus
+    /// files and cache keys carry.
     pub scheduler: SchedulerKind,
     /// After the horizon, keep serving until every in-flight packet is
     /// delivered. Disable for instability probes.
@@ -1296,7 +1300,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Select the future-event-list backend.
+    /// Select the equivalent network's future-event-list backend (see
+    /// [`RunControl::scheduler`]).
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scenario.run.scheduler = scheduler;
         self

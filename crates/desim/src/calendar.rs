@@ -1,12 +1,15 @@
 //! Bucketed calendar-queue (time-wheel) future-event list.
 //!
-//! The paper's network is a *deterministic unit-service* system: every arc
-//! serves in exactly 1.0 time units, so almost every event an in-flight
-//! simulation schedules lands within one time unit of the clock (service
-//! completions at `now + 1`, merged-Poisson arrivals at `now + Exp(Λ)`,
-//! slot boundaries at `now + r ≤ now + 1`). A comparison-based heap pays
-//! `O(log n)` for that near-future structure; a calendar queue (Brown 1988)
-//! pays amortized `O(1)`.
+//! Service completions in the paper's unit-service network do not need
+//! it: they land at `now + 1` in non-decreasing order, and
+//! `hyperroute-core`'s engine keeps them in a plain FIFO ring. What is
+//! left for an event list is a workload whose event times are not a
+//! monotone stream — the equivalent network of `hyperroute-core`
+//! (per-server Poisson arrivals interleaved with unit or processor-sharing
+//! completions) and general DES use. There a comparison-based heap pays
+//! `O(log n)` per operation, while a calendar queue (Brown 1988) pays
+//! amortized `O(1)` for near-future events (within one or two time units
+//! of the clock).
 //!
 //! # Design
 //!
@@ -46,7 +49,7 @@
 //! respects time order (equal times share a bucket), each bucket is
 //! consumed in `(time, seq)` order, and in-drain pushes are placed by the
 //! same comparison. The differential tests in `hyperroute-core` assert
-//! byte-identical simulation reports across both backends.
+//! byte-identical equivalent-network reports across both backends.
 //!
 //! Like `EventQueue`, time validation is a `debug_assert!` — the simulators
 //! validate their configurations once at construction instead of paying a
@@ -243,43 +246,6 @@ impl<E: Clone> CalendarQueue<E> {
             .expect("advance filled the drain buffer");
         self.wheel_len -= 1;
         Some((entry.time, entry.payload))
-    }
-
-    /// Pop the earliest event only if its time is at or before `bound` —
-    /// the one-call merge primitive for simulators that keep a
-    /// self-scheduling stream outside the queue. The fast path is a
-    /// single compare against the tail of the drain buffer.
-    #[inline]
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        if self.draining {
-            if let Some(entry) = self.drain_buf.last() {
-                if entry.time <= bound {
-                    let entry = self.drain_buf.pop().expect("checked non-empty");
-                    self.wheel_len -= 1;
-                    return Some((entry.time, entry.payload));
-                }
-                return None;
-            }
-        }
-        // Slow path: load the next bucket, then re-check the bound.
-        self.advance_to_nonempty()?;
-        let entry = self.drain_buf.last().expect("advance filled the buffer");
-        if entry.time > bound {
-            return None;
-        }
-        let entry = self.drain_buf.pop().expect("checked non-empty");
-        self.wheel_len -= 1;
-        Some((entry.time, entry.payload))
-    }
-
-    /// Payload of the next event without removing it (the event that the
-    /// next `pop` returns).
-    #[inline]
-    pub fn peek_payload(&mut self) -> Option<&E> {
-        if !self.draining || self.drain_buf.is_empty() {
-            self.advance_to_nonempty()?;
-        }
-        self.drain_buf.last().map(|e| &e.payload)
     }
 
     /// Time of the next event without removing it.

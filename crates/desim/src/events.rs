@@ -90,29 +90,10 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Pop the earliest event only if its time is at or before `bound` —
-    /// the one-call merge primitive for simulators that keep a
-    /// self-scheduling stream (next firing known in advance) outside the
-    /// queue. Equivalent to `peek_time` + conditional `pop`.
-    #[inline]
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek().is_some_and(|e| e.time <= bound) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// Payload of the next event without removing it.
-    #[inline]
-    pub fn peek_payload(&self) -> Option<&E> {
-        self.heap.peek().map(|e| &e.payload)
     }
 
     /// Number of pending events.

@@ -3,10 +3,11 @@
 //! Both backends pop in exactly the same `(time, insertion-seq)` order, so
 //! a simulation is a bit-identical deterministic function of its seed under
 //! either; [`SchedulerKind`] picks the cost model. The calendar queue is
-//! the default — it exploits the unit-service structure of the paper's
-//! model for amortized `O(1)` scheduling — and the heap remains available
-//! for differential testing and for workloads with pathological time
-//! distributions.
+//! the default — amortized `O(1)` for near-future event times — and the
+//! heap remains available for differential testing and for workloads with
+//! pathological time distributions. (`hyperroute-core`'s packet engine
+//! needs neither: its unit-service completions arrive in time order and
+//! live in a FIFO ring.)
 
 use crate::calendar::CalendarQueue;
 use crate::events::EventQueue;
@@ -91,34 +92,12 @@ impl<E: Clone> Scheduler<E> {
         }
     }
 
-    /// Pop the earliest event only if its time is at or before `bound`
-    /// (ties: insertion order) — one call instead of `peek_time` +
-    /// conditional `pop`, for merging the queue with an out-of-queue
-    /// self-scheduling event stream.
-    #[inline]
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            Scheduler::Heap(q) => q.pop_at_or_before(bound),
-            Scheduler::Calendar(q) => q.pop_at_or_before(bound),
-        }
-    }
-
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match self {
             Scheduler::Heap(q) => q.peek_time(),
             Scheduler::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    /// Payload of the next event without removing it — what the next
-    /// `pop` will return.
-    #[inline]
-    pub fn peek_payload(&mut self) -> Option<&E> {
-        match self {
-            Scheduler::Heap(q) => q.peek_payload(),
-            Scheduler::Calendar(q) => q.peek_payload(),
         }
     }
 

@@ -23,7 +23,7 @@
 //! service → client:  {"Accepted":{"campaign":0}}\n
 //! client → service:  {"Status":{"campaign":0}}\n
 //! service → client:  {"Status":{"campaign":0,"state":"Running","cache":{…}}}\n
-//! client → service:  {"Results":{"campaign":0}}\n                 (blocks until done)
+//! client → service:  {"Results":{"campaign":0}}\n                 (blocks until done; once per campaign)
 //! service → client:  {"Report":{"campaign":0,"index":0,"report":{…}}}\n   (one per point)
 //!                    {"ResultsDone":{"campaign":0,"points":6}}\n
 //! client → service:  "Shutdown"\n
@@ -85,7 +85,7 @@ pub enum CampaignState {
     Queued,
     /// Executing now.
     Running,
-    /// Finished; results are available.
+    /// Finished; the results can be taken once.
     Done {
         /// Grid points in the result.
         points: usize,
@@ -129,7 +129,9 @@ pub enum ServiceRequest {
     },
     /// Stream a campaign's reports (blocks until it finishes): answered
     /// by one `Report` line per grid point, then `ResultsDone` — or
-    /// `Error` for unknown/failed campaigns.
+    /// `Error` for unknown/failed campaigns. A campaign streams once:
+    /// the service then drops its reports, and a repeated `Results`
+    /// gets `Error`.
     Results {
         /// The id from `Accepted`.
         campaign: u64,
@@ -182,7 +184,7 @@ pub enum ServiceReply {
         points: usize,
     },
     /// A request failed (unparseable line, unknown campaign, failed
-    /// campaign).
+    /// campaign, results already streamed).
     Error {
         /// What went wrong.
         message: String,
@@ -369,15 +371,18 @@ impl SweepService {
         }
     }
 
-    /// The finished campaign's reports, if it completed.
+    /// Hand over the finished campaign's reports. The service keeps no
+    /// copy: the first call for a completed campaign returns them, every
+    /// later call (and a call for an unfinished or failed campaign)
+    /// returns `None`. Resubmitting the sweep gets them again from the
+    /// report cache.
     pub fn results(&self, campaign: u64) -> Option<Vec<Report>> {
         self.shared
             .state
             .lock()
             .expect("service state lock")
             .results
-            .get(&campaign)
-            .cloned()
+            .remove(&campaign)
     }
 
     /// The service cache's cumulative counters.
@@ -450,19 +455,25 @@ pub fn serve(
                 cache: service.cache_stats(),
             })?,
             Ok(ServiceRequest::Results { campaign }) => match service.wait(campaign) {
-                CampaignState::Done { points } => {
-                    let reports = service
-                        .results(campaign)
-                        .expect("Done campaigns have results");
-                    for (index, report) in reports.into_iter().enumerate() {
-                        emit(&ServiceReply::Report {
-                            campaign,
-                            index,
-                            report,
-                        })?;
+                CampaignState::Done { points } => match service.results(campaign) {
+                    Some(reports) => {
+                        for (index, report) in reports.into_iter().enumerate() {
+                            emit(&ServiceReply::Report {
+                                campaign,
+                                index,
+                                report,
+                            })?;
+                        }
+                        emit(&ServiceReply::ResultsDone { campaign, points })?;
                     }
-                    emit(&ServiceReply::ResultsDone { campaign, points })?;
-                }
+                    None => emit(&ServiceReply::Error {
+                        message: format!(
+                            "campaign {campaign}'s results were already streamed; \
+                             resubmit the sweep to stream them again \
+                             (its points are served from the report cache)"
+                        ),
+                    })?,
+                },
                 CampaignState::Failed { error } => emit(&ServiceReply::Error {
                     message: format!("campaign {campaign} failed: {error}"),
                 })?,
@@ -517,6 +528,7 @@ mod tests {
             "first campaign completes"
         );
         assert_eq!(service.results(first).unwrap(), direct);
+        assert_eq!(service.results(first), None, "results are handed over once");
         let after_first = service.cache_stats();
         assert_eq!(after_first.inserts, 2);
         // Identical resubmit: all hits, no new inserts — zero simulations.
@@ -652,5 +664,79 @@ mod tests {
             replies[0]
         );
         assert_eq!(replies[1], ServiceReply::Bye);
+    }
+
+    #[test]
+    fn repeated_results_request_gets_an_error_and_the_service_keeps_serving() {
+        let sweep = small_sweep();
+        let direct = sweep.run(1).unwrap();
+        let service = in_process_service();
+        let mut input = String::new();
+        for request in [
+            ServiceRequest::Submit {
+                sweep: sweep.clone(),
+                slice_len: 0,
+            },
+            ServiceRequest::Results { campaign: 0 },
+            ServiceRequest::Results { campaign: 0 },
+            ServiceRequest::Submit {
+                sweep,
+                slice_len: 0,
+            },
+            ServiceRequest::Results { campaign: 1 },
+            ServiceRequest::Shutdown,
+        ] {
+            input.push_str(&serde_json::to_string(&request).unwrap());
+            input.push('\n');
+        }
+        let mut output = Vec::new();
+        serve(&service, Cursor::new(input), &mut output).unwrap();
+        let replies: Vec<ServiceReply> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let points = direct.len();
+        // Accepted, points × Report, ResultsDone, Error, Accepted,
+        // points × Report, ResultsDone, Bye.
+        assert_eq!(replies.len(), 2 * points + 6, "{replies:?}");
+        assert_eq!(
+            replies[points + 1],
+            ServiceReply::ResultsDone {
+                campaign: 0,
+                points
+            }
+        );
+        let ServiceReply::Error { message } = &replies[points + 2] else {
+            panic!(
+                "repeated Results must be an Error: {:?}",
+                replies[points + 2]
+            );
+        };
+        assert!(message.contains("already streamed"), "{message}");
+        // The service keeps serving: the resubmitted sweep streams the
+        // same reports again, from the cache.
+        assert_eq!(replies[points + 3], ServiceReply::Accepted { campaign: 1 });
+        let again: Vec<&Report> = replies[points + 4..2 * points + 4]
+            .iter()
+            .map(|r| match r {
+                ServiceReply::Report {
+                    campaign: 1,
+                    report,
+                    ..
+                } => report,
+                other => panic!("expected a Report of campaign 1: {other:?}"),
+            })
+            .collect();
+        assert_eq!(again, direct.iter().collect::<Vec<_>>());
+        assert_eq!(
+            replies[2 * points + 4],
+            ServiceReply::ResultsDone {
+                campaign: 1,
+                points
+            }
+        );
+        assert_eq!(replies[2 * points + 5], ServiceReply::Bye);
+        assert_eq!(service.cache_stats().hits, points as u64);
     }
 }

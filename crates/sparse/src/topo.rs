@@ -21,8 +21,8 @@ use hyperroute_topology::RoutingTopology;
 pub struct SparseTopology {
     graph: SparseGraph,
     embed: Embedding,
-    /// Expected greedy hop count under uniform destinations — the
-    /// scheduler-sizing hint. Analytic per generator (the trait default
+    /// Expected greedy hop count under uniform destinations, served as
+    /// `mean_distance_hint`. Analytic per generator (the trait default
     /// would sample quantised *metric* values, which are not hops).
     hops_hint: f64,
 }

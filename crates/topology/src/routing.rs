@@ -148,9 +148,8 @@ pub trait RoutingTopology {
         None
     }
 
-    /// Expected greedy path length under uniform destinations — a
-    /// **sizing hint** (the simulators use it to pick scheduler bucket
-    /// counts; correctness never depends on it). The default samples
+    /// Expected greedy path length under uniform destinations — an
+    /// estimate, not a measured statistic. The default samples
     /// distances out of node 0, which is exact for vertex-transitive
     /// topologies; implementations with closed forms override it.
     fn mean_distance_hint(&self) -> f64 {

@@ -217,10 +217,6 @@ fn killed_shard_propagates_panic() {
             (arc as u32 + 1) % self.nodes
         }
 
-        fn mean_hops_hint(&self) -> f64 {
-            4.0
-        }
-
         fn generate(&mut self, t: f64, _source: u32, _rng: &mut SimRng) -> Spawn<Packet> {
             Spawn::Route(Packet::new(t, 4, NO_SECOND_LEG))
         }
@@ -278,7 +274,6 @@ fn killed_shard_propagates_panic() {
         lambda: 0.5,
         arrivals: ArrivalModel::Poisson,
         contention: ContentionPolicy::Fifo,
-        scheduler: SchedulerKind::default(),
         horizon: 50.0,
         warmup: 0.0,
         seed: 9,

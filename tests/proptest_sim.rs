@@ -1,9 +1,10 @@
 //! Property-based tests of the packet-level simulators: structural
 //! invariants that must hold for *any* stable configuration and seed —
-//! plus pop-order equivalence of the two event-scheduler backends on
-//! random event streams.
+//! plus pop-order equivalence of the two event-scheduler backends, and of
+//! the engine's completion ring against the heap, on random event streams.
 
 use hyperroute::prelude::*;
+use hyperroute_core::engine::CompletionRing;
 use hyperroute_desim::{CalendarQueue, EventQueue, SchedulerKind};
 use proptest::prelude::*;
 
@@ -35,6 +36,24 @@ fn run_case(c: &SimCase, horizon: f64) -> Report {
         .expect("valid scenario")
         .run()
         .expect("scenario runs")
+}
+
+/// The engine's event list under test beside the heap it replaced, fed
+/// the same pushes. Payloads are event ids; `hops[id]` is how many more
+/// completions the event's packet will cause.
+struct RingAndHeap {
+    ring: CompletionRing<usize>,
+    heap: EventQueue<usize>,
+    hops: Vec<u8>,
+}
+
+impl RingAndHeap {
+    fn push(&mut self, t: f64, hops: u8) {
+        let id = self.hops.len();
+        self.hops.push(hops);
+        self.ring.push(t, id);
+        self.heap.push(t, id);
+    }
 }
 
 proptest! {
@@ -142,6 +161,66 @@ proptest! {
             prop_assert_eq!(Some(a), cal.pop());
         }
         prop_assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn completion_ring_pops_like_the_heap(
+        firings in prop::collection::vec((0u8..3, 0.0f64..1.5, 0u32..4, 0u8..5), 1..150),
+    ) {
+        // The engine's event pattern. An out-of-list stream (Poisson
+        // arrivals, slot boundaries, same-instant firings) is merged
+        // inclusively; each firing schedules a burst of completions at
+        // its time + 1.0; each popped completion schedules up to two
+        // more at its own time + 1.0 (the forwarded packet on an idle
+        // arc and the next waiter on the arc it left).
+        const SLOT: f64 = 0.25;
+        let mut q = RingAndHeap {
+            ring: CompletionRing::new(),
+            heap: EventQueue::new(),
+            hops: Vec::new(),
+        };
+        let mut stream_t = 0.0;
+        let mut fired = 0;
+        loop {
+            let stream = (fired < firings.len()).then_some(stream_t);
+            let (from_ring, from_heap) = match stream {
+                Some(bound) => {
+                    let heap_due = q.heap.peek_time().is_some_and(|t| t <= bound);
+                    (
+                        q.ring.pop_at_or_before(bound),
+                        if heap_due { q.heap.pop() } else { None },
+                    )
+                }
+                None => (q.ring.pop(), q.heap.pop()),
+            };
+            prop_assert_eq!(from_ring, from_heap);
+            prop_assert_eq!(q.ring.len(), q.heap.len());
+            match (from_ring, stream) {
+                (Some((t, id)), _) => {
+                    let hops = q.hops[id];
+                    if hops > 0 {
+                        q.push(t + 1.0, hops - 1);
+                        if id % 3 == 0 {
+                            q.push(t + 1.0, 0);
+                        }
+                    }
+                }
+                (None, Some(s)) => {
+                    let (kind, gap, burst, hops) = firings[fired];
+                    for _ in 0..burst {
+                        q.push(s + 1.0, hops);
+                    }
+                    stream_t = s + match kind {
+                        0 => 0.0,
+                        1 => SLOT,
+                        _ => gap,
+                    };
+                    fired += 1;
+                }
+                (None, None) => break,
+            }
+        }
+        prop_assert!(q.ring.is_empty() && q.heap.is_empty());
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Differential tests of the two future-event-list backends.
+//! Differential tests of `RunControl::scheduler`, the future-event-list
+//! knob.
 //!
-//! The calendar queue's contract is not "statistically equivalent" but
-//! **bit-identical**: for a fixed seed, a simulation driven by the
-//! calendar backend must pop every event in exactly the same order as the
-//! heap backend, consume exactly the same random draws, and therefore
-//! produce byte-for-byte equal reports. These tests run every simulator
-//! (through the unified `Scenario` spec, varying only
-//! `RunControl::scheduler`) across schemes, arrival models, and contention
-//! policies under both backends and compare full reports with `==` (the
+//! The knob selects only the equivalent network's event list: the
+//! calendar queue's contract there is not "statistically equivalent" but
+//! **bit-identical** — for a fixed seed it must pop every event in
+//! exactly the same order as the heap backend, consume exactly the same
+//! random draws, and therefore produce byte-for-byte equal reports.
+//! Engine-backed topologies (hypercube, butterfly, ring, …) ignore the
+//! knob — their unit-service completions live in one FIFO ring — so for
+//! them these tests pin that the knob stays inert. Every simulator runs
+//! through the unified `Scenario` spec, varying only
+//! `RunControl::scheduler`, across schemes, arrival models, and
+//! contention policies, and full reports are compared with `==` (the
 //! reports derive bit-exact `PartialEq`).
 
 use hyperroute::prelude::*;
